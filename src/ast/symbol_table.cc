@@ -10,20 +10,23 @@ StatusOr<PredicateId> SymbolTable::InternPredicate(std::string_view name,
     return Status::InvalidArgument("negative arity for predicate '" +
                                    std::string(name) + "'");
   }
-  auto it = predicate_index_.find(std::string(name));
-  if (it != predicate_index_.end()) {
-    const PredicateInfo& info = predicates_[it->second];
-    if (info.arity != arity) {
-      return Status::InvalidArgument(
-          "predicate '" + std::string(name) + "' used with arity " +
-          std::to_string(arity) + " but registered with arity " +
-          std::to_string(info.arity));
-    }
-    return it->second;
-  }
-  PredicateId id = static_cast<PredicateId>(predicates_.size());
+  HYPO_ASSIGN_OR_RETURN(PredicateId id, LookupPredicate(name, arity));
+  if (id != kInvalidPredicate) return id;
+  id = static_cast<PredicateId>(predicates_.size());
   predicates_.push_back(PredicateInfo{std::string(name), arity});
   predicate_index_.emplace(std::string(name), id);
+  return id;
+}
+
+StatusOr<PredicateId> SymbolTable::LookupPredicate(std::string_view name,
+                                                   int arity) const {
+  PredicateId id = FindPredicate(name);
+  if (id != kInvalidPredicate && predicates_[id].arity != arity) {
+    return Status::InvalidArgument(
+        "predicate '" + std::string(name) + "' used with arity " +
+        std::to_string(arity) + " but registered with arity " +
+        std::to_string(predicates_[id].arity));
+  }
   return id;
 }
 

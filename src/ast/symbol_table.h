@@ -45,6 +45,12 @@ class SymbolTable {
   /// Returns the id of an already-interned predicate, or kInvalidPredicate.
   PredicateId FindPredicate(std::string_view name) const;
 
+  /// FindPredicate with InternPredicate's arity check, without interning:
+  /// the id if `name` is interned with `arity`, kInvalidPredicate if it is
+  /// not interned, and InternPredicate's error on an arity mismatch.
+  StatusOr<PredicateId> LookupPredicate(std::string_view name,
+                                        int arity) const;
+
   /// Interns `name` as a constant (idempotent).
   ConstId InternConst(std::string_view name);
 

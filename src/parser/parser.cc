@@ -11,10 +11,16 @@ namespace {
 /// Recursive-descent parser over a token stream. One instance parses one
 /// source text; per-statement variable scopes are handled by the caller
 /// passing a fresh VarScope for each rule or query.
+///
+/// Built over a mutable SymbolTable it interns every name it meets; built
+/// over a const one it only looks names up and fails with kNotFound at the
+/// first constant or predicate the table does not hold.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, SymbolTable* symbols)
-      : tokens_(std::move(tokens)), symbols_(symbols) {}
+  Parser(const std::vector<Token>& tokens, SymbolTable* symbols)
+      : tokens_(tokens), symbols_(symbols), interner_(symbols) {}
+  Parser(const std::vector<Token>& tokens, const SymbolTable& symbols)
+      : tokens_(tokens), symbols_(&symbols) {}
 
   /// Variable scope: maps surface names to rule-local indices.
   struct VarScope {
@@ -57,6 +63,28 @@ class Parser {
     return true;
   }
 
+  StatusOr<ConstId> Const(const Token& name) {
+    if (interner_ != nullptr) return interner_->InternConst(name.text);
+    ConstId id = symbols_->FindConst(name.text);
+    if (id == kInvalidConst) return Unknown("constant", name);
+    return id;
+  }
+
+  StatusOr<PredicateId> Predicate(const Token& name, int arity) {
+    if (interner_ != nullptr) {
+      return interner_->InternPredicate(name.text, arity);
+    }
+    HYPO_ASSIGN_OR_RETURN(PredicateId id,
+                          symbols_->LookupPredicate(name.text, arity));
+    if (id == kInvalidPredicate) return Unknown("predicate", name);
+    return id;
+  }
+
+  static Status Unknown(const char* what, const Token& name) {
+    return Status::NotFound(std::string("unknown ") + what + " '" +
+                            name.text + "'");
+  }
+
   /// atom := identifier [ '(' term (',' term)* ')' ]
   StatusOr<Atom> ParseAtom(VarScope* scope) {
     HYPO_ASSIGN_OR_RETURN(Token name, Expect(TokenKind::kIdentifier));
@@ -69,16 +97,16 @@ class Parser {
           args.push_back(scope->Intern(t.text));
         } else if (t.kind == TokenKind::kIdentifier) {
           ++pos_;
-          args.push_back(Term::MakeConst(symbols_->InternConst(t.text)));
+          HYPO_ASSIGN_OR_RETURN(ConstId c, Const(t));
+          args.push_back(Term::MakeConst(c));
         } else {
           return ErrorHere("expected a term (constant or variable)");
         }
       } while (Consume(TokenKind::kComma));
       HYPO_RETURN_IF_ERROR(Expect(TokenKind::kRParen).status());
     }
-    HYPO_ASSIGN_OR_RETURN(
-        PredicateId pred,
-        symbols_->InternPredicate(name.text, static_cast<int>(args.size())));
+    HYPO_ASSIGN_OR_RETURN(PredicateId pred,
+                          Predicate(name, static_cast<int>(args.size())));
     return Atom{pred, std::move(args)};
   }
 
@@ -152,8 +180,7 @@ class Parser {
         }
         arity = arity * 10 + (c - '0');
       }
-      HYPO_ASSIGN_OR_RETURN(PredicateId pred,
-                            symbols_->InternPredicate(name.text, arity));
+      HYPO_ASSIGN_OR_RETURN(PredicateId pred, Predicate(name, arity));
       if (assumable) {
         rulebase->DeclareAssumable(pred);
       } else {
@@ -195,9 +222,10 @@ class Parser {
   }
 
  private:
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
-  SymbolTable* symbols_;
+  const SymbolTable* symbols_;
+  SymbolTable* interner_ = nullptr;  // Null: lookup-only.
 };
 
 }  // namespace
@@ -205,7 +233,7 @@ class Parser {
 StatusOr<RuleBase> ParseRuleBase(std::string_view text,
                                  std::shared_ptr<SymbolTable> symbols) {
   HYPO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), symbols.get());
+  Parser parser(tokens, symbols.get());
   RuleBase rulebase(std::move(symbols));
   while (!parser.AtEnd()) {
     if (parser.Peek().kind == TokenKind::kArrow) {
@@ -220,7 +248,7 @@ StatusOr<RuleBase> ParseRuleBase(std::string_view text,
 
 Status ParseFactsInto(std::string_view text, Database* db) {
   HYPO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), db->mutable_symbols());
+  Parser parser(tokens, db->mutable_symbols());
   while (!parser.AtEnd()) {
     HYPO_ASSIGN_OR_RETURN(Rule rule, parser.ParseRule());
     if (!rule.premises.empty() || !rule.head.IsGround()) {
@@ -237,13 +265,22 @@ Status ParseFactsInto(std::string_view text, Database* db) {
 
 StatusOr<Query> ParseQuery(std::string_view text, SymbolTable* symbols) {
   HYPO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), symbols);
-  return parser.ParseWholeQuery();
+  return ParseQuery(tokens, symbols);
+}
+
+StatusOr<Query> ParseQuery(const std::vector<Token>& tokens,
+                           SymbolTable* symbols) {
+  return Parser(tokens, symbols).ParseWholeQuery();
+}
+
+StatusOr<Query> ParseQueryLookupOnly(const std::vector<Token>& tokens,
+                                     const SymbolTable& symbols) {
+  return Parser(tokens, symbols).ParseWholeQuery();
 }
 
 StatusOr<Fact> ParseFact(std::string_view text, SymbolTable* symbols) {
   HYPO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), symbols);
+  Parser parser(tokens, symbols);
   Parser::VarScope scope;
   HYPO_ASSIGN_OR_RETURN(Atom atom, parser.ParseAtom(&scope));
   parser.Consume(TokenKind::kPeriod);
@@ -262,7 +299,7 @@ StatusOr<Fact> ParseFact(std::string_view text, SymbolTable* symbols) {
 StatusOr<ParsedProgram> ParseProgram(std::string_view text,
                                      std::shared_ptr<SymbolTable> symbols) {
   HYPO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens), symbols.get());
+  Parser parser(tokens, symbols.get());
   ParsedProgram program{RuleBase(symbols), Database(symbols)};
   while (!parser.AtEnd()) {
     if (parser.Peek().kind == TokenKind::kArrow) {

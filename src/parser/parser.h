@@ -3,12 +3,14 @@
 
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "ast/query.h"
 #include "ast/rulebase.h"
 #include "ast/symbol_table.h"
 #include "base/statusor.h"
 #include "db/database.h"
+#include "parser/lexer.h"
 
 namespace hypo {
 
@@ -34,6 +36,19 @@ Status ParseFactsInto(std::string_view text, Database* db);
 /// Parses a single query: one or more premises separated by commas, with
 /// an optional trailing period. Free variables are existential.
 StatusOr<Query> ParseQuery(std::string_view text, SymbolTable* symbols);
+
+/// ParseQuery over the tokens Tokenize produced for the query text.
+StatusOr<Query> ParseQuery(const std::vector<Token>& tokens,
+                           SymbolTable* symbols);
+
+/// ParseQuery that only reads `symbols` and never interns, so it may run
+/// while other threads read the table too. Fails with kNotFound at the
+/// first constant or predicate `symbols` does not hold; the interning
+/// overload then parses the same tokens. Every other result, an error
+/// included, is the one the interning overload would give: both read the
+/// tokens in the same order and differ only from the first unknown name on.
+StatusOr<Query> ParseQueryLookupOnly(const std::vector<Token>& tokens,
+                                     const SymbolTable& symbols);
 
 /// Parses one ground atom, e.g. "grad(tony)".
 StatusOr<Fact> ParseFact(std::string_view text, SymbolTable* symbols);

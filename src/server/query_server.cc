@@ -230,13 +230,18 @@ void QueryServer::CheckIn(Engine* engine) {
 
 StatusOr<QueryOutcome> QueryServer::Query(std::string_view text,
                                           const QuerySpec& spec) {
-  hypo::Query query;
-  {
+  HYPO_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
+  StatusOr<hypo::Query> parsed = [&] {
+    std::shared_lock<std::shared_mutex> symbols_lock(symbols_mu_);
+    return ParseQueryLookupOnly(tokens, *symbols_);
+  }();
+  if (parsed.status().code() == StatusCode::kNotFound) {
+    // The query names a symbol nobody has interned yet.
     std::unique_lock<std::shared_mutex> symbols_lock(symbols_mu_);
-    auto parsed = ParseQuery(text, symbols_.get());
-    if (!parsed.ok()) return parsed.status();
-    query = std::move(*parsed);
+    parsed = ParseQuery(tokens, symbols_.get());
   }
+  if (!parsed.ok()) return parsed.status();
+  hypo::Query query = std::move(*parsed);
   // Restricted predicates are rejected up front — before an engine lease,
   // so a stream of violating queries cannot occupy the pool.
   if (Status s = CheckQueryRestrictions(rules_, query); !s.ok()) {

@@ -116,8 +116,11 @@ struct MutationOutcome {
 ///    The epoch turn unseals (implicitly, via Insert/Retract), applies
 ///    the batch, re-prepares every engine-declared probe signature, and
 ///    reseals before readers return.
-///  * `symbols_mu_` (shared_mutex): parsing interns symbols (exclusive);
-///    evaluation and answer rendering only read them (shared).
+///  * `symbols_mu_` (shared_mutex): a query parses under it shared and
+///    retakes it exclusive only to intern a constant or predicate it names
+///    for the first time; evaluation and answer rendering hold it shared.
+///    So queries over known symbols overlap, each on its own pooled engine.
+///    Mutation parsing (ParseMutation) takes it exclusive.
 ///
 /// Thread-safe: any number of threads may call Query/Insert/Retract/
 /// ApplyBatch concurrently.
@@ -273,7 +276,8 @@ class QueryServer {
 
   /// Queries shared, epoch turns exclusive (see class comment).
   mutable std::shared_mutex epoch_mu_;
-  /// Parsing exclusive, evaluation/rendering shared.
+  /// Query parsing shared, exclusive only to intern a new symbol;
+  /// mutation parsing exclusive; evaluation/rendering shared.
   mutable std::shared_mutex symbols_mu_;
 
   /// The pool's shared cross-query cache (null when

@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +155,56 @@ TEST(ParseQueryTest, ConjunctionsAllowed) {
 TEST(ParseQueryTest, TrailingGarbageFails) {
   auto symbols = Syms();
   EXPECT_FALSE(ParseQuery("p(X). q", symbols.get()).ok());
+}
+
+// A parse result as text: the premises, or the error.
+std::string Render(const StatusOr<Query>& query, const SymbolTable& symbols) {
+  if (!query.ok()) return query.status().ToString();
+  std::string out;
+  for (const Premise& premise : query->premises) {
+    out += PremiseToString(premise, symbols, &query->var_names) + "; ";
+  }
+  return out;
+}
+
+TEST(ParseQueryTest, LookupOnlyMatchesInterningParseOverKnownSymbols) {
+  auto symbols = Syms();
+  ASSERT_TRUE(ParseRuleBase("reach(X, Y) <- edge(X, Y). edge(a, b).", symbols)
+                  .ok());
+  const int predicates = symbols->num_predicates();
+  const int consts = symbols->num_consts();
+  for (const char* text :
+       {"reach(a, X)",
+        "reach(a, b)[add: edge(b, a)][del: edge(a, b)], ~edge(X, a).",
+        "reach(a)", "reach(a, X), edge(X)", "reach(a, X", "reach(a, X) edge",
+        "~reach(a, b)[add: edge(b, a)]", "reach(a, b)[put: edge(b, a)]"}) {
+    auto tokens = Tokenize(text);
+    ASSERT_TRUE(tokens.ok()) << tokens.status();
+    auto lookup_only = ParseQueryLookupOnly(*tokens, *symbols);
+    auto interned = ParseQuery(*tokens, symbols.get());
+    EXPECT_EQ(Render(lookup_only, *symbols), Render(interned, *symbols))
+        << text;
+  }
+  EXPECT_EQ(symbols->num_predicates(), predicates);
+  EXPECT_EQ(symbols->num_consts(), consts);
+}
+
+TEST(ParseQueryTest, LookupOnlyStopsAtTheFirstUnknownName) {
+  auto symbols = Syms();
+  ASSERT_TRUE(ParseRuleBase("reach(X, Y) <- edge(X, Y). edge(a, b).", symbols)
+                  .ok());
+  const int predicates = symbols->num_predicates();
+  const int consts = symbols->num_consts();
+  for (const char* text : {"reach(a, zz)", "path(a, X)", "reach(a, X), path(X)",
+                           "reach(zz)", "reach(a, b)[add: edge(b, zz)]"}) {
+    auto tokens = Tokenize(text);
+    ASSERT_TRUE(tokens.ok()) << tokens.status();
+    EXPECT_EQ(ParseQueryLookupOnly(*tokens, *symbols).status().code(),
+              StatusCode::kNotFound)
+        << text;
+  }
+  EXPECT_EQ(symbols->num_predicates(), predicates) << "lookup-only interned";
+  EXPECT_EQ(symbols->num_consts(), consts) << "lookup-only interned";
 }
 
 TEST(ParseFactTest, SingleGroundAtom) {

@@ -182,6 +182,45 @@ TEST_P(ServerTest, PerQueryGovernanceTripsWithoutKillingTheServer) {
   EXPECT_TRUE(q->proven);
 }
 
+TEST_P(ServerTest, QueriesNamingNewSymbolsInternThemAndAnswerAsBefore) {
+  auto server = MakeServer(GetParam());
+  ASSERT_NE(server, nullptr);
+
+  // A new constant is interned, and nothing reaches it.
+  auto fresh = server->Query("reach(a, zz)");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(fresh->boolean);
+  EXPECT_FALSE(fresh->proven);
+
+  // A new predicate is interned too; it has no facts and no rules.
+  auto unknown = server->Query("path(a, X)");
+  ASSERT_TRUE(unknown.ok()) << unknown.status();
+  EXPECT_EQ(unknown->var_names, std::vector<std::string>{"X"});
+  EXPECT_TRUE(unknown->answers.empty());
+
+  // A known predicate at the wrong arity keeps its typed error and message,
+  // and so does the predicate the previous query registered.
+  auto wrong_arity = server->Query("reach(a)");
+  ASSERT_FALSE(wrong_arity.ok());
+  EXPECT_EQ(wrong_arity.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wrong_arity.status().message(),
+            "predicate 'reach' used with arity 1 but registered with arity 2");
+  auto new_wrong_arity = server->Query("path(a)");
+  ASSERT_FALSE(new_wrong_arity.ok());
+  EXPECT_EQ(new_wrong_arity.status().message(),
+            "predicate 'path' used with arity 1 but registered with arity 2");
+
+  // zz is known now, so this query parses without interning; it must still
+  // resolve zz to the constant the first query interned.
+  auto known = server->Query("reach(a, zz)[add: edge(c, zz)]");
+  ASSERT_TRUE(known.ok()) << known.status();
+  EXPECT_TRUE(known->proven);
+  auto answers = server->Query("reach(c, X)[add: edge(c, zz)]");
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(answers->answers,
+            std::vector<std::vector<std::string>>{{"zz"}});
+}
+
 TEST(QueryServerTest, CreateRejectsBadConfigurations) {
   ServerOptions demand;
   demand.engine_name = "bottomup";
